@@ -2,15 +2,11 @@ package core
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"keddah/internal/flows"
+	"keddah/internal/golden"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the export golden files")
 
 // goldenSchedule exercises the format edge cases: master host (-1),
 // CSV-hostile job names (comma, quote), NS3-tag-hostile names (spaces),
@@ -28,29 +24,6 @@ func goldenSchedule() []SynthFlow {
 	}
 }
 
-// checkGolden compares got against testdata/<name>, rewriting the file
-// under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
-}
-
 // TestExportCSVGolden pins the CSV wire format byte for byte: field
 // order, float formatting, and quoting of hostile job names must not
 // drift, or previously written schedules stop importing elsewhere.
@@ -59,7 +32,7 @@ func TestExportCSVGolden(t *testing.T) {
 	if err := ExportCSV(&buf, goldenSchedule()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "schedule.golden.csv", buf.Bytes())
+	golden.Check(t, "schedule.golden.csv", buf.Bytes())
 
 	// The golden bytes must also round-trip losslessly.
 	back, err := ImportCSV(bytes.NewReader(buf.Bytes()))
@@ -84,5 +57,5 @@ func TestExportNS3Golden(t *testing.T) {
 	if err := ExportNS3(&buf, goldenSchedule(), 8); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "schedule.golden.ns3", buf.Bytes())
+	golden.Check(t, "schedule.golden.ns3", buf.Bytes())
 }
