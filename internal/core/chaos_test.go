@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"keddah/internal/faults"
@@ -96,5 +97,26 @@ func TestFaultScheduleValidated(t *testing.T) {
 	}}
 	if _, _, err := CaptureWith(spec, runs, CaptureOpts{Faults: overlapping}); err == nil {
 		t.Error("overlapping faults on one worker accepted")
+	}
+}
+
+// TestCaptureIdenticalUnderGCPressure: GC timing must never influence a
+// capture. Running the same session under GOGC=20 — collections firing an
+// order of magnitude more often, recycled slots and arenas churning
+// through the allocator — must produce a byte-identical TraceSet.
+func TestCaptureIdenticalUnderGCPressure(t *testing.T) {
+	spec, runs := chaosSpecAndRuns()
+	baseline, _, err := Capture(spec, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := debug.SetGCPercent(20)
+	defer debug.SetGCPercent(old)
+	pressured, _, err := Capture(spec, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(baseline, pressured) {
+		t.Error("GOGC=20 changed the captured trace set")
 	}
 }

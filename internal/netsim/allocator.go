@@ -5,12 +5,12 @@ import (
 	"slices"
 )
 
-// This file holds the struct-of-arrays core's bandwidth-sharing rate
-// computations. All three write the per-flow rate vector into c.rates
-// (indexed by active-list position), sized by reallocate before dispatch.
-// The ptrCore twins (ptrcore.go) perform the identical floating-point
-// operations in the identical order, so the two cores' rate vectors agree
-// bit for bit — as do incremental and reference within each core.
+// This file holds the flow core's bandwidth-sharing rate computations.
+// All three write the per-flow rate vector into c.rates (indexed by
+// active-list position), sized by reallocate before dispatch. The
+// incremental and reference max-min paths perform the identical
+// floating-point operations in the identical order, so their rate vectors
+// agree bit for bit.
 //
 // incrementalMaxMinRates is the production path: progressive filling
 // driven by the per-link active-flow index, O(rounds × links) for

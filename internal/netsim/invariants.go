@@ -9,8 +9,6 @@ import (
 // internal/invariants layer. Both entry points are strictly observational:
 // they allocate only local scratch, draw no randomness, and schedule no
 // events, so a checked run's trajectory is identical to an unchecked one.
-// Each check dispatches to the active core and verifies that core's own
-// structural representation (SoA slots+arenas, or pointer lists).
 
 // VerifyState checks the structural invariants of the active flow set:
 // the active list and the per-link flow index agree with each other, no
@@ -20,18 +18,12 @@ import (
 // reallocation is pending it additionally verifies the allocation itself
 // via CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
-	if n.ptr != nil {
-		if err := n.ptr.verifyState(); err != nil {
+	if err := n.soa.verifyState(); err != nil {
+		return err
+	}
+	if n.soa.tcp != nil {
+		if err := n.soa.tcp.verify(); err != nil {
 			return err
-		}
-	} else {
-		if err := n.soa.verifyState(); err != nil {
-			return err
-		}
-		if n.soa.tcp != nil {
-			if err := n.soa.tcp.verify(); err != nil {
-				return err
-			}
 		}
 	}
 	if n.reallocPendingNow() {
@@ -96,44 +88,6 @@ func (c *soaCore) verifyState() error {
 	return nil
 }
 
-func (c *ptrCore) verifyState() error {
-	for i, f := range c.flows {
-		if f.listIdx != i {
-			return fmt.Errorf("netsim: flow %d listIdx %d but held at position %d", f.id, f.listIdx, i)
-		}
-		if f.done || !f.active {
-			return fmt.Errorf("netsim: flow %d in active set but done=%v active=%v", f.id, f.done, f.active)
-		}
-		if f.remaining < 0 || f.remaining > float64(f.spec.SizeBytes) {
-			return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", f.id, f.remaining, f.spec.SizeBytes)
-		}
-		if len(f.linkPos) != len(f.path) {
-			return fmt.Errorf("netsim: flow %d linkPos/path length mismatch (%d vs %d)", f.id, len(f.linkPos), len(f.path))
-		}
-		for j, lid := range f.path {
-			if c.topo.linkDown[lid] {
-				return fmt.Errorf("netsim: flow %d active on downed link %d", f.id, lid)
-			}
-			p := f.linkPos[j]
-			if p < 0 || p >= len(c.linkFlows[lid]) || c.linkFlows[lid][p] != f {
-				return fmt.Errorf("netsim: flow %d link index stale on link %d (pos %d)", f.id, lid, p)
-			}
-		}
-	}
-	indexed := 0
-	for _, lst := range c.linkFlows {
-		indexed += len(lst)
-	}
-	pathSum := 0
-	for _, f := range c.flows {
-		pathSum += len(f.path)
-	}
-	if indexed != pathSum {
-		return fmt.Errorf("netsim: per-link index holds %d entries, active paths cover %d", indexed, pathSum)
-	}
-	return nil
-}
-
 // CheckAllocatorOracle recomputes the max-min rate vector with the exact
 // arithmetic of referenceMaxMinRates — from-scratch progressive filling
 // into fresh local buffers — and compares it against the rates the
@@ -145,25 +99,19 @@ func (n *Network) CheckAllocatorOracle() error {
 	if n.cfg.Allocator != AllocMaxMin || n.reallocPendingNow() || n.ActiveFlows() == 0 {
 		return nil
 	}
-	if n.soa != nil && n.soa.tcp != nil {
+	if n.soa.tcp != nil {
 		// TCP rates are demand-limited; the unconstrained max-min oracle
 		// does not apply. tcpCore.verify covers the TCP-mode invariants.
 		return nil
 	}
-	// Assemble the oracle inputs from the active core's view.
-	nf := n.ActiveFlows()
+	// Assemble the oracle inputs from the flow core's view.
+	c := n.soa
+	nf := len(c.active)
 	paths := make([][]LinkID, nf)
 	installed := make([]float64, nf)
 	ids := make([]uint64, nf)
-	if n.ptr != nil {
-		for i, f := range n.ptr.flows {
-			paths[i], installed[i], ids[i] = f.path, f.rate, f.id
-		}
-	} else {
-		c := n.soa
-		for i, s := range c.active {
-			paths[i], installed[i], ids[i] = c.path(s), c.rate[s], c.fid[s]
-		}
+	for i, s := range c.active {
+		paths[i], installed[i], ids[i] = c.path(s), c.rate[s], c.fid[s]
 	}
 
 	remCap := make([]float64, len(n.topo.links))

@@ -4,7 +4,7 @@ import (
 	"keddah/internal/sim"
 )
 
-// soaCore is the default flow storage engine: an arena-per-capture,
+// soaCore is the flow storage engine: an arena-per-capture,
 // struct-of-arrays layout where every per-flow attribute lives in a
 // parallel slice keyed by an int32 slot id. Slots are recycled through a
 // free list and generation-counted (a stale FlowID can never touch a
@@ -14,9 +14,9 @@ import (
 // per-slot completion timers, a settled capture loop — start, activate,
 // reallocate, complete, recycle — performs zero heap allocations.
 //
-// The pointer-per-flow implementation survives as ptrCore; the two are
-// kept trajectory-identical (same event order, same floating-point
-// arithmetic, same telemetry counters), which the lockstep tests enforce.
+// Its observable output is pinned by committed golden digests
+// (TestNetsimGoldenDigest, TestCaptureGoldenDigest), and its max-min
+// rates by the per-step reference-allocator lockstep.
 type soaCore struct {
 	nw   *Network
 	eng  *sim.Engine
@@ -61,7 +61,7 @@ type soaCore struct {
 	freeSlots []int32
 
 	// active lists transferring slots in activation order (the order the
-	// allocator and settle iterate in — it mirrors ptrCore.flows exactly).
+	// allocator and settle iterate in).
 	active []int32
 	// linkFlows indexes the active slots crossing each link, maintained
 	// in O(len(path)) on flow activation and completion so the allocator
