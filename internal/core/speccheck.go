@@ -4,13 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"keddah/internal/workload"
 )
 
-// This file validates generation specs up front, so malformed requests —
-// NaN rates smuggled in through JSON, negative sizes, worker counts that
-// would explode structural scaling — fail fast with a typed error instead
-// of surfacing as a deep generation failure (or an enormous allocation)
-// minutes later. keddah-serve maps ErrBadSpec to HTTP 400.
+// This file validates capture and generation specs up front, so
+// malformed requests — negative cluster sizes a default would silently
+// replace, NaN rates smuggled in through JSON, negative sizes, worker
+// counts that would explode structural scaling — fail fast with a typed
+// error instead of surfacing as a deep simulation or generation failure
+// (or an enormous allocation) minutes later. keddah-serve maps ErrBadSpec
+// to HTTP 400.
 
 // ErrBadSpec is the sentinel wrapped by every spec-validation failure.
 var ErrBadSpec = errors.New("core: invalid spec")
@@ -19,7 +23,7 @@ var ErrBadSpec = errors.New("core: invalid spec")
 // errors.Is(err, ErrBadSpec) identifies validation failures without
 // string matching.
 type SpecError struct {
-	Spec   string // "GenSpec" or "MixSpec"
+	Spec   string // "GenSpec", "MixSpec", "ClusterSpec" or "RunSpec"
 	Field  string
 	Reason string
 }
@@ -147,4 +151,79 @@ func (m MixSpec) Validate() error {
 		return mixErr("jobsPerMinute", fmt.Sprintf("implies ~%.0f arrivals over the window, above the %d limit", arrivals, maxMixArrivals))
 	}
 	return nil
+}
+
+func clusterErr(field, reason string) error {
+	return &SpecError{Spec: "ClusterSpec", Field: field, Reason: reason}
+}
+
+// Validate rejects malformed ClusterSpec fields. Zero values are legal
+// (withDefaults fills them in); what is rejected is anything a default
+// would otherwise paper over: negative counts and sizes, non-finite or
+// negative link capacities, and a Shards layout outside [-1, Pods]
+// (a spec with Pods 0 or 1 is one pod). CaptureWith and Replay call this
+// first.
+func (s ClusterSpec) Validate() error {
+	for _, c := range []struct {
+		field string
+		v     int64
+	}{
+		{"workers", int64(s.Workers)},
+		{"pods", int64(s.Pods)},
+		{"racks", int64(s.Racks)},
+		{"fatTreeK", int64(s.FatTreeK)},
+		{"replication", int64(s.Replication)},
+		{"blockSize", s.BlockSize},
+	} {
+		if c.v < 0 {
+			return clusterErr(c.field, "is negative")
+		}
+	}
+	for _, c := range []struct {
+		field string
+		v     float64
+	}{
+		{"hostGbps", s.HostGbps},
+		{"uplinkGbps", s.UplinkGbps},
+	} {
+		if badFloat(c.v) {
+			return clusterErr(c.field, "is not finite")
+		}
+		if c.v < 0 {
+			return clusterErr(c.field, "is negative")
+		}
+	}
+	if pods := max(s.Pods, 1); s.Shards < -1 || s.Shards > pods {
+		return clusterErr("shards", fmt.Sprintf("%d is outside [-1, %d]", s.Shards, pods))
+	}
+	return nil
+}
+
+// validateRuns rejects run input sizes that are negative or imply more
+// map tasks at the spec's block size than any measured deployment runs.
+func validateRuns(runs []workload.RunSpec, blockSize int64) error {
+	bs := blockSizeOr(blockSize)
+	for i, r := range runs {
+		if r.InputBytes < 0 {
+			return &SpecError{Spec: "RunSpec", Field: "inputBytes", Reason: fmt.Sprintf("is negative (run %d)", i)}
+		}
+		if r.InputBytes > 0 {
+			if maps := (r.InputBytes-1)/bs + 1; maps > maxSpecMaps {
+				return &SpecError{Spec: "RunSpec", Field: "inputBytes",
+					Reason: fmt.Sprintf("implies %d maps at block size %d, above the %d limit (run %d)", maps, bs, maxSpecMaps, i)}
+			}
+		}
+	}
+	return nil
+}
+
+// InputBytesFromGiB converts a size in GiB, as the CLIs take it, to
+// bytes. NaN, infinite, negative and int64-overflowing sizes are rejected
+// here, before the conversion could wrap them into a bogus byte count.
+func InputBytesFromGiB(gb float64) (int64, error) {
+	b := gb * (1 << 30)
+	if math.IsNaN(b) || b < 0 || b >= math.MaxInt64 {
+		return 0, &SpecError{Spec: "RunSpec", Field: "inputBytes", Reason: fmt.Sprintf("%g GiB is not a size in [0, 8 EiB)", gb)}
+	}
+	return int64(b), nil
 }
