@@ -18,6 +18,8 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"-workers", "-4", "workers"},
 		{"-pods", "-3", "pods"},
 		{"-input-gb", "1e12", "inputBytes"},
+		{"-input-gb", "0", "inputBytes"},
+		{"-workers", "2", "replication"},
 	} {
 		out := filepath.Join(t.TempDir(), "traces.json")
 		err := run([]string{tc.flag, tc.value, "-out", out})

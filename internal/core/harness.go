@@ -193,8 +193,8 @@ type CaptureOpts struct {
 	// models on one cluster spec thread the choice through here.
 	Transport string
 	// Shards, when non-nil, overrides spec.Shards for this session
-	// (0 = serial, -1 = auto, 1..Pods explicit). The CLI -shards flag
-	// and the lockstep experiments thread the engine layout here.
+	// (0 = serial, -1 = auto, 1..Pods explicit) and is validated with
+	// the spec. The lockstep experiments thread the engine layout here.
 	Shards *int
 	// InterPodFaults marks pod-pair fabric outages in a multi-pod
 	// capture: transfers between a down pair detour through a relay pod
@@ -221,10 +221,16 @@ func Capture(spec ClusterSpec, runSpecs []workload.RunSpec) (*TraceSet, []worklo
 
 // CaptureWith is Capture with failure injection and other session options.
 func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
+	if opts.Shards != nil {
+		spec.Shards = *opts.Shards
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := validateRuns(runSpecs, spec.BlockSize); err != nil {
+	if err := spec.validateReplication(); err != nil {
+		return nil, nil, err
+	}
+	if err := validateRuns(runSpecs, spec.BlockSize, spec.Pods); err != nil {
 		return nil, nil, err
 	}
 	spec = spec.withDefaults()

@@ -4,9 +4,9 @@
 // arenas, HDFS, YARN, jobs, RNG streams — stays strictly shard-local;
 // the only cross-shard channel is the fabric's boundary posts, merged in
 // fixed order at window barriers. The whole capture is therefore
-// byte-identical at any engine layout (Shards 0, -1, or explicit) and
-// any GOMAXPROCS, which the lockstep tests and the shard-determinism CI
-// job verify against the serial layout.
+// byte-identical at any engine layout (Shards 0, -1, or explicit),
+// which the lockstep tests and the shard-determinism CI job verify
+// against the serial layout.
 package core
 
 import (
@@ -33,32 +33,24 @@ const podSeedStride = 1_000_003
 // layout, unlike window wall-clock or per-shard step counts.
 const sweepEveryEvents = 4096
 
-// resolveShards maps the Shards knob to an engine count:
+// resolveShards maps the Shards knob, already range-checked by
+// ClusterSpec.Validate, to an engine count:
 // 0 = serial (one engine), -1 = auto (one per pod), 1..pods explicit.
-func resolveShards(pods, shards int) (int, error) {
-	switch {
-	case shards == 0:
-		return 1, nil
-	case shards == -1:
-		return pods, nil
-	case shards >= 1 && shards <= pods:
-		return shards, nil
+func resolveShards(pods, shards int) int {
+	switch shards {
+	case 0:
+		return 1
+	case -1:
+		return pods
 	default:
-		return 0, fmt.Errorf("core: shards %d outside {-1, 0, 1..%d pods}", shards, pods)
+		return shards
 	}
 }
 
 // captureMultiPod is the Pods > 1 arm of CaptureWith.
 func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
 	pods := spec.Pods
-	shards := spec.Shards
-	if opts.Shards != nil {
-		shards = *opts.Shards
-	}
-	engines, err := resolveShards(pods, shards)
-	if err != nil {
-		return nil, nil, err
-	}
+	engines := resolveShards(pods, spec.Shards)
 	switch spec.CrossPod {
 	case "", "ring", "fanin", "none":
 	default:
@@ -161,7 +153,7 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 	}
 
 	// Strict mode: one read-only checker per pod, swept from the barrier
-	// hook (no shard goroutine in flight there) at a deterministic
+	// hook (no shard is mid-window there) at a deterministic
 	// processed-event cadence, plus the fabric's conservation check.
 	var checkers []*invariants.Checker
 	var tracer *telemetry.Tracer

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"keddah/internal/faults"
@@ -12,20 +11,18 @@ import (
 )
 
 // multiPodOutput runs one multi-pod capture at the given engine layout
-// and GOMAXPROCS and returns every deterministic artifact concatenated:
-// the TraceSet JSON, the flow CSV, and the telemetry snapshot JSON.
-// Byte-equality of this string across layouts is the lockstep criterion.
-func multiPodOutput(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opts CaptureOpts, shards, procs int) (string, *TraceSet) {
+// and returns every deterministic artifact concatenated: the TraceSet
+// JSON, the flow CSV, and the telemetry snapshot JSON. Byte-equality of
+// this string across layouts is the lockstep criterion.
+func multiPodOutput(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opts CaptureOpts, shards int) (string, *TraceSet) {
 	t.Helper()
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
 	tel := telemetry.New()
 	o := opts
 	o.Telemetry = tel
 	o.Shards = &shards
 	ts, results, err := CaptureWith(spec, runs, o)
 	if err != nil {
-		t.Fatalf("capture (shards=%d procs=%d): %v", shards, procs, err)
+		t.Fatalf("capture (shards=%d): %v", shards, err)
 	}
 	if len(results) != len(runs) {
 		t.Fatalf("capture returned %d results for %d runs", len(results), len(runs))
@@ -45,17 +42,14 @@ func multiPodOutput(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opt
 	return buf.String(), ts
 }
 
-// lockstep compares a serial-layout reference against sharded layouts at
-// several GOMAXPROCS settings.
-func lockstep(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opts CaptureOpts, layouts []int, procs []int) *TraceSet {
+// lockstep compares a serial-layout reference against sharded layouts.
+func lockstep(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opts CaptureOpts, layouts []int) *TraceSet {
 	t.Helper()
-	ref, ts := multiPodOutput(t, spec, runs, opts, 0, 1)
+	ref, ts := multiPodOutput(t, spec, runs, opts, 0)
 	for _, shards := range layouts {
-		for _, p := range procs {
-			if got, _ := multiPodOutput(t, spec, runs, opts, shards, p); got != ref {
-				t.Errorf("shards=%d GOMAXPROCS=%d diverged from serial layout (ref %d bytes, got %d bytes)",
-					shards, p, len(ref), len(got))
-			}
+		if got, _ := multiPodOutput(t, spec, runs, opts, shards); got != ref {
+			t.Errorf("shards=%d diverged from serial layout (ref %d bytes, got %d bytes)",
+				shards, len(ref), len(got))
 		}
 	}
 	return ts
@@ -64,7 +58,7 @@ func lockstep(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opts Capt
 // TestMultiPodLockstep256 is the acceptance-criteria run: a 256-worker
 // (8 pods × 32 workers) capture, byte-identical TraceSet, flow CSV and
 // telemetry snapshot between the serial layout and the fully sharded
-// layout at GOMAXPROCS ∈ {1, 2, 8}.
+// layout.
 func TestMultiPodLockstep256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-worker capture in -short mode")
@@ -77,7 +71,7 @@ func TestMultiPodLockstep256(t *testing.T) {
 	for i := range runs {
 		runs[i] = workload.RunSpec{Profile: "terasort", InputBytes: 32 << 20}
 	}
-	ts := lockstep(t, spec, runs, CaptureOpts{}, []int{-1}, []int{1, 2, 8})
+	ts := lockstep(t, spec, runs, CaptureOpts{}, []int{-1})
 	if len(ts.Runs) != 8 {
 		t.Fatalf("got %d runs, want 8", len(ts.Runs))
 	}
@@ -118,7 +112,7 @@ func TestMultiPodLockstepChaos(t *testing.T) {
 				{SrcPod: 0, DstPod: 1, AtNs: 1, DurationNs: 0}, // permanent: relays via pod 2 or 3
 			},
 		}
-		ts := lockstep(t, spec, runs, opts, []int{-1, 2}, []int{2})
+		ts := lockstep(t, spec, runs, opts, []int{-1, 2})
 		if ts.Stats.InterPodRelayed == 0 {
 			t.Errorf("%s: pair 0-1 down but no transfer relayed", transport)
 		}
@@ -142,7 +136,7 @@ func TestMultiPodRelayReroute(t *testing.T) {
 		StrictChecks:   true,
 		InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 1, AtNs: 1}},
 	}
-	ts := lockstep(t, spec, runs, opts, []int{-1}, []int{2})
+	ts := lockstep(t, spec, runs, opts, []int{-1})
 	if ts.Stats.InterPodTransfers != 3 {
 		t.Fatalf("transfers %d, want 3 (ring of 3 pods)", ts.Stats.InterPodTransfers)
 	}
@@ -170,7 +164,7 @@ func TestMultiPodAbortedTransfer(t *testing.T) {
 		StrictChecks:   true,
 		InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 1, AtNs: 1}},
 	}
-	ts := lockstep(t, spec, runs, opts, []int{-1}, []int{2})
+	ts := lockstep(t, spec, runs, opts, []int{-1})
 	if ts.Stats.InterPodAborted != 2 {
 		t.Fatalf("aborted %d, want both ring copies", ts.Stats.InterPodAborted)
 	}
@@ -193,7 +187,7 @@ func TestMultiPodSkewedFanIn(t *testing.T) {
 		{Profile: "terasort", InputBytes: 8 << 20},
 		{Profile: "terasort", InputBytes: 8 << 20},
 	}
-	ts := lockstep(t, spec, runs, CaptureOpts{StrictChecks: true}, []int{-1}, []int{2})
+	ts := lockstep(t, spec, runs, CaptureOpts{StrictChecks: true}, []int{-1})
 	if ts.Stats.InterPodTransfers != 3 {
 		t.Fatalf("fan-in transfers %d, want 3 (pods 1..3 → pod 0)", ts.Stats.InterPodTransfers)
 	}
@@ -250,21 +244,17 @@ func TestMultiPodValidation(t *testing.T) {
 }
 
 func TestResolveShards(t *testing.T) {
-	cases := []struct {
-		pods, shards, want int
-		ok                 bool
-	}{
-		{4, 0, 1, true},
-		{4, -1, 4, true},
-		{4, 2, 2, true},
-		{4, 4, 4, true},
-		{4, 5, 0, false},
-		{4, -2, 0, false},
+	// Out-of-range layouts never get here: ClusterSpec.Validate rejects
+	// them (TestClusterSpecValidate's "shards" rows).
+	cases := []struct{ pods, shards, want int }{
+		{4, 0, 1},
+		{4, -1, 4},
+		{4, 2, 2},
+		{4, 4, 4},
 	}
 	for _, c := range cases {
-		got, err := resolveShards(c.pods, c.shards)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("resolveShards(%d, %d) = %d, %v; want %d, ok=%v", c.pods, c.shards, got, err, c.want, c.ok)
+		if got := resolveShards(c.pods, c.shards); got != c.want {
+			t.Errorf("resolveShards(%d, %d) = %d, want %d", c.pods, c.shards, got, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"keddah/internal/hadoop/hdfs"
 	"keddah/internal/workload"
 )
 
@@ -160,9 +161,9 @@ func clusterErr(field, reason string) error {
 // Validate rejects malformed ClusterSpec fields. Zero values are legal
 // (withDefaults fills them in); what is rejected is anything a default
 // would otherwise paper over: negative counts and sizes, non-finite or
-// negative link capacities, and a Shards layout outside [-1, Pods]
-// (a spec with Pods 0 or 1 is one pod). CaptureWith and Replay call this
-// first.
+// negative link capacities, an odd fat-tree arity, and a Shards layout
+// outside [-1, Pods] (a spec with Pods 0 or 1 is one pod). CaptureWith
+// and Replay call this first.
 func (s ClusterSpec) Validate() error {
 	for _, c := range []struct {
 		field string
@@ -193,26 +194,72 @@ func (s ClusterSpec) Validate() error {
 			return clusterErr(c.field, "is negative")
 		}
 	}
+	if d := s.withDefaults(); d.Topology == "fattree" && d.FatTreeK%2 != 0 {
+		return clusterErr("fatTreeK", fmt.Sprintf("%d is odd; a fat tree needs an even arity", d.FatTreeK))
+	}
 	if pods := max(s.Pods, 1); s.Shards < -1 || s.Shards > pods {
 		return clusterErr("shards", fmt.Sprintf("%d is outside [-1, %d]", s.Shards, pods))
 	}
 	return nil
 }
 
-// validateRuns rejects run input sizes that are negative or imply more
-// map tasks at the spec's block size than any measured deployment runs.
-func validateRuns(runs []workload.RunSpec, blockSize int64) error {
+// validateReplication rejects a capture whose HDFS replication factor
+// exceeds the worker hosts (DataNodes) the topology builds: every host
+// but the master. Replay builds no HDFS, so only CaptureWith calls this,
+// after Validate.
+func (s ClusterSpec) validateReplication() error {
+	d := s.withDefaults()
+	var hosts int
+	switch d.Topology {
+	case "star":
+		hosts = d.Workers
+	case "multirack":
+		hosts = d.Racks*((d.Workers+d.Racks)/d.Racks) - 1
+	case "fattree":
+		hosts = d.FatTreeK*d.FatTreeK*d.FatTreeK/4 - 1
+	default:
+		return nil // BuildTopology reports the unknown name
+	}
+	repl := s.Replication
+	if repl == 0 {
+		repl = hdfs.DefaultReplication
+	}
+	if repl > hosts {
+		return clusterErr("replication", fmt.Sprintf("%d exceeds the %d worker hosts of the %s topology", repl, hosts, d.Topology))
+	}
+	return nil
+}
+
+// validateRuns rejects run input sizes that are negative, zero with no
+// dataset to read, or imply more map tasks at the spec's block size than
+// any measured deployment runs. A zero-byte run reads the dataset an
+// earlier run on its pod ingests under the same path (runs are striped
+// over pods, run i on pod i % pods, and run in order on each pod);
+// otherwise it would ingest an empty file, which HDFS refuses.
+func validateRuns(runs []workload.RunSpec, blockSize int64, pods int) error {
 	bs := blockSizeOr(blockSize)
+	pods = max(pods, 1)
+	type podPath struct {
+		pod  int
+		path string
+	}
+	ingested := make(map[podPath]bool)
 	for i, r := range runs {
 		if r.InputBytes < 0 {
 			return &SpecError{Spec: "RunSpec", Field: "inputBytes", Reason: fmt.Sprintf("is negative (run %d)", i)}
 		}
-		if r.InputBytes > 0 {
-			if maps := (r.InputBytes-1)/bs + 1; maps > maxSpecMaps {
+		if r.InputBytes == 0 {
+			if !ingested[podPath{i % pods, r.InputPath}] {
 				return &SpecError{Spec: "RunSpec", Field: "inputBytes",
-					Reason: fmt.Sprintf("implies %d maps at block size %d, above the %d limit (run %d)", maps, bs, maxSpecMaps, i)}
+					Reason: fmt.Sprintf("is zero and no earlier run on its pod ingests %q (run %d)", r.InputPath, i)}
 			}
+			continue
 		}
+		if maps := (r.InputBytes-1)/bs + 1; maps > maxSpecMaps {
+			return &SpecError{Spec: "RunSpec", Field: "inputBytes",
+				Reason: fmt.Sprintf("implies %d maps at block size %d, above the %d limit (run %d)", maps, bs, maxSpecMaps, i)}
+		}
+		ingested[podPath{i % pods, r.DatasetPath(r.Profile)}] = true
 	}
 	return nil
 }

@@ -93,6 +93,8 @@ func TestClusterSpecValidate(t *testing.T) {
 		{"shards below auto", ClusterSpec{Pods: 4, Shards: -2}, "shards"},
 		{"shards above pods", ClusterSpec{Pods: 4, Shards: 5}, "shards"},
 		{"shards on a single pod", ClusterSpec{Shards: 2}, "shards"},
+		{"odd fat-tree arity", ClusterSpec{Topology: "fattree", FatTreeK: 3}, "fatTreeK"},
+		{"odd arity off the fat tree is ignored", ClusterSpec{FatTreeK: 3}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,6 +116,30 @@ func TestCaptureAndReplayRejectBadSpecs(t *testing.T) {
 	checkSpecErr(t, err, "hostGbps", "ClusterSpec")
 	checkSpecErr(t, run(-1, 0), "inputBytes", "RunSpec")
 	checkSpecErr(t, run(math.MaxInt64, 1<<20), "inputBytes", "RunSpec") // absurd map count
+
+	// A zero-byte run reads only a dataset an earlier run on its pod
+	// ingests; otherwise HDFS would be asked for an empty file.
+	checkSpecErr(t, run(0, 0), "inputBytes", "RunSpec")
+	shared := []workload.RunSpec{
+		{Profile: "terasort", InputBytes: 4 << 20, InputPath: "/d"},
+		{Profile: "terasort", InputPath: "/d"},
+	}
+	if _, _, err := Capture(ClusterSpec{Workers: 4}, shared); err != nil {
+		t.Fatalf("zero-byte run re-reading an ingested dataset: %v", err)
+	}
+	_, _, err = Capture(ClusterSpec{Workers: 4, Pods: 2}, shared) // run 1 lands on pod 1
+	checkSpecErr(t, err, "inputBytes", "RunSpec")
+
+	// The Shards override is validated with the spec it overrides.
+	bad := -5
+	_, _, err = CaptureWith(ClusterSpec{Workers: 4, Pods: 2}, nil, CaptureOpts{Shards: &bad})
+	checkSpecErr(t, err, "shards", "ClusterSpec")
+	// HDFS cannot place more replicas than there are DataNodes: the
+	// default 3 on two workers, and 2 on a k=2 fat tree's one worker.
+	_, _, err = Capture(ClusterSpec{Workers: 2}, nil)
+	checkSpecErr(t, err, "replication", "ClusterSpec")
+	_, _, err = Capture(ClusterSpec{Topology: "fattree", FatTreeK: 2, Replication: 2}, nil)
+	checkSpecErr(t, err, "replication", "ClusterSpec")
 }
 
 func TestInputBytesFromGiB(t *testing.T) {
@@ -167,4 +193,61 @@ func TestGenerateRejectsBadSpec(t *testing.T) {
 	if _, err := model.Generate(GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("scaled validation: %v, want ErrBadSpec", err)
 	}
+}
+
+// FuzzClusterSpecValidate drives small cluster specs and input sizes
+// through the capture boundary. Every rejection from ClusterSpec.Validate,
+// InputBytesFromGiB or CaptureWith's own checks must be a *SpecError;
+// every spec and input they accept must capture without a panic and
+// without an HDFS sizing error surfacing from inside the simulation.
+// Link capacities come from a fixed list, bad values included: any
+// positive capacity is legal, and a tiny one only makes the capture slow.
+func FuzzClusterSpecValidate(f *testing.F) {
+	f.Add(uint8(0), int8(4), int8(0), int8(0), int8(0), int8(0), int8(0), int8(0), uint8(0), uint8(0), 0.002)
+	f.Add(uint8(1), int8(6), int8(3), int8(0), int8(1), int8(0), int8(0), int8(1), uint8(1), uint8(2), 0.003)
+	f.Add(uint8(2), int8(0), int8(0), int8(0), int8(0), int8(4), int8(2), int8(0), uint8(1), uint8(0), 0.001)
+	f.Add(uint8(0), int8(3), int8(0), int8(3), int8(-1), int8(0), int8(1), int8(2), uint8(0), uint8(0), 0.002)
+	f.Add(uint8(0), int8(2), int8(0), int8(0), int8(0), int8(0), int8(0), int8(0), uint8(0), uint8(0), 0.0)
+	f.Add(uint8(0), int8(-4), int8(0), int8(2), int8(5), int8(0), int8(0), int8(0), uint8(5), uint8(4), 1e12)
+	capacities := []float64{0, 1, 10, 0.5, -1, math.NaN(), math.Inf(1)}
+	f.Fuzz(func(t *testing.T, topo uint8, workers, racks, pods, shards, fatTreeK, replication, blockMiB int8,
+		host, uplink uint8, inputGiB float64) {
+		spec := ClusterSpec{
+			Topology:    []string{"star", "multirack", "fattree"}[topo%3],
+			Workers:     int(workers % 9),
+			Racks:       int(racks % 4),
+			Pods:        int(pods % 4),
+			Shards:      int(shards % 5),
+			FatTreeK:    int(fatTreeK % 5),
+			Replication: int(replication % 5),
+			BlockSize:   int64(blockMiB%5) << 20,
+			HostGbps:    capacities[int(host)%len(capacities)],
+			UplinkGbps:  capacities[int(uplink)%len(capacities)],
+			Seed:        1,
+		}
+		mustBeSpecErr := func(what string, err error) {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("%s rejected %+v with %v, not a *SpecError", what, spec, err)
+			}
+		}
+		if err := spec.Validate(); err != nil {
+			mustBeSpecErr("Validate", err)
+			return
+		}
+		input, err := InputBytesFromGiB(inputGiB)
+		if err != nil {
+			mustBeSpecErr("InputBytesFromGiB", err)
+			return
+		}
+		// Keep the capture tiny whatever size was accepted above.
+		runs := []workload.RunSpec{{Profile: "terasort", InputBytes: input % (4 << 20)}}
+		if _, _, err := CaptureWith(spec, runs, CaptureOpts{}); err != nil {
+			if errors.Is(err, ErrBadSpec) {
+				mustBeSpecErr("CaptureWith", err)
+			} else if strings.Contains(err.Error(), "hdfs:") {
+				t.Fatalf("accepted spec %+v with %d input bytes failed inside HDFS: %v", spec, runs[0].InputBytes, err)
+			}
+		}
+	})
 }

@@ -18,11 +18,14 @@ import (
 	"keddah/internal/telemetry"
 )
 
+// DefaultReplication is dfs.replication when Config leaves it unset.
+const DefaultReplication = 3
+
 // Config holds the filesystem-wide parameters the paper varies.
 type Config struct {
 	// BlockSize is dfs.blocksize (default 128 MiB).
 	BlockSize int64
-	// Replication is dfs.replication (default 3).
+	// Replication is dfs.replication (default DefaultReplication).
 	Replication int
 	// HeartbeatInterval is the DataNode→NameNode heartbeat period
 	// (default 3s, as in dfs.heartbeat.interval).
@@ -50,7 +53,7 @@ func (c *Config) applyDefaults() {
 		c.BlockSize = 128 << 20
 	}
 	if c.Replication <= 0 {
-		c.Replication = 3
+		c.Replication = DefaultReplication
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 3_000_000_000

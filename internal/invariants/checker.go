@@ -78,8 +78,8 @@ func (ck *Checker) Steps() int { return ck.steps }
 // Sweep runs one layer sweep on demand, keeping the checker's oracle
 // cadence. Multi-pod captures call it from the sharded scheduler's
 // barrier hook — paced by processed-event deltas rather than per-event
-// steps — where no shard goroutine is in flight, so the read-only checks
-// stay race-free.
+// steps — where no shard is mid-window, so every pod's state is
+// consistent.
 func (ck *Checker) Sweep() error {
 	ck.sweeps++
 	return ck.sweep(ck.sweeps%ck.opts.OracleEvery == 0)

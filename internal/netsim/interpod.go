@@ -16,7 +16,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"keddah/internal/sim"
 )
@@ -53,8 +52,8 @@ type TransferSpec struct {
 }
 
 // InterPodStats is a point-in-time counter snapshot. Counters are summed
-// across shards; at a window barrier (no shard goroutine in flight) the
-// values are exact and identical at any engine count.
+// across shards; at a window barrier the values are identical at any
+// engine count.
 type InterPodStats struct {
 	Started, Completed, Aborted, Relayed int64
 	Pending                              int64
@@ -80,7 +79,7 @@ type InterPod struct {
 	// agree without any cross-shard read.
 	down [][]bool
 
-	// Shard goroutines update these concurrently; snapshot at barriers.
+	// Summed across shards; snapshot at barriers.
 	started, completed, aborted, relayed int64
 	pending                              int64
 	stage1Bytes, stage2Bytes             int64
@@ -123,18 +122,18 @@ func NewInterPod(sched *sim.ShardedEngine, nets []*Network, gateways []NodeID, l
 func (ip *InterPod) Latency() sim.Time { return ip.latency }
 
 // Pending returns the in-flight transfer count. Exact at barriers.
-func (ip *InterPod) Pending() int { return int(atomic.LoadInt64(&ip.pending)) }
+func (ip *InterPod) Pending() int { return int(ip.pending) }
 
 // Stats snapshots the fabric counters. Exact at barriers.
 func (ip *InterPod) Stats() InterPodStats {
 	return InterPodStats{
-		Started:     atomic.LoadInt64(&ip.started),
-		Completed:   atomic.LoadInt64(&ip.completed),
-		Aborted:     atomic.LoadInt64(&ip.aborted),
-		Relayed:     atomic.LoadInt64(&ip.relayed),
-		Pending:     atomic.LoadInt64(&ip.pending),
-		Stage1Bytes: atomic.LoadInt64(&ip.stage1Bytes),
-		Stage2Bytes: atomic.LoadInt64(&ip.stage2Bytes),
+		Started:     ip.started,
+		Completed:   ip.completed,
+		Aborted:     ip.aborted,
+		Relayed:     ip.relayed,
+		Pending:     ip.pending,
+		Stage1Bytes: ip.stage1Bytes,
+		Stage2Bytes: ip.stage2Bytes,
 	}
 }
 
@@ -214,8 +213,8 @@ func (ip *InterPod) Send(spec TransferSpec) error {
 		return fmt.Errorf("netsim: interpod destination %d is pod %d's gateway", spec.Dst, spec.DstPod)
 	}
 
-	atomic.AddInt64(&ip.started, 1)
-	atomic.AddInt64(&ip.pending, 1)
+	ip.started++
+	ip.pending++
 	ip.ports[spec.SrcPod]++
 	_, err := ip.nets[spec.SrcPod].StartFlow(FlowSpec{
 		Src:       spec.Src,
@@ -225,14 +224,14 @@ func (ip *InterPod) Send(spec TransferSpec) error {
 		SizeBytes: spec.SizeBytes,
 		Label:     spec.Label + "/egress",
 		OnComplete: func(*Flow) {
-			atomic.AddInt64(&ip.stage1Bytes, spec.SizeBytes)
+			ip.stage1Bytes += spec.SizeBytes
 			ip.route(spec.SrcPod, spec)
 		},
 		OnAbort: func(*Flow) { ip.abort(spec) },
 	})
 	if err != nil {
-		atomic.AddInt64(&ip.aborted, 1)
-		atomic.AddInt64(&ip.pending, -1)
+		ip.aborted++
+		ip.pending--
 		return fmt.Errorf("netsim: interpod egress: %w", err)
 	}
 	return nil
@@ -254,7 +253,7 @@ func (ip *InterPod) route(from int, spec TransferSpec) {
 		}
 		if ip.pairUp(from, from, r) && ip.pairUp(from, r, spec.DstPod) {
 			relay := r
-			atomic.AddInt64(&ip.relayed, 1)
+			ip.relayed++
 			ip.post(from, relay, now+ip.latency, func() { ip.forward(relay, spec) })
 			return
 		}
@@ -286,9 +285,9 @@ func (ip *InterPod) ingress(spec TransferSpec) {
 		SizeBytes: spec.SizeBytes,
 		Label:     spec.Label + "/ingress",
 		OnComplete: func(*Flow) {
-			atomic.AddInt64(&ip.stage2Bytes, spec.SizeBytes)
-			atomic.AddInt64(&ip.completed, 1)
-			atomic.AddInt64(&ip.pending, -1)
+			ip.stage2Bytes += spec.SizeBytes
+			ip.completed++
+			ip.pending--
 			if spec.OnComplete != nil {
 				spec.OnComplete()
 			}
@@ -303,8 +302,8 @@ func (ip *InterPod) ingress(spec TransferSpec) {
 // abort finishes a transfer on the failure path, on whichever pod's
 // engine observed it.
 func (ip *InterPod) abort(spec TransferSpec) {
-	atomic.AddInt64(&ip.aborted, 1)
-	atomic.AddInt64(&ip.pending, -1)
+	ip.aborted++
+	ip.pending--
 	if spec.OnAbort != nil {
 		spec.OnAbort()
 	}

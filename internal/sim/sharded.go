@@ -1,10 +1,10 @@
 // Sharded conservative-window scheduler: several slab engines advance in
 // lockstep through time windows derived from a lookahead bound, with
 // cross-shard events exchanged through fixed-order merge queues at window
-// barriers. Within a window the shards share nothing, so they may run on
-// separate goroutines; the merge order at every barrier is fixed
-// (destination pod, then source pod, then send order), which makes a run
-// byte-identical at any GOMAXPROCS and any shard count.
+// barriers. Within a window the shards share nothing and run one after
+// another on the caller's goroutine; the merge order at every barrier is
+// fixed (destination pod, then source pod, then send order), which makes
+// a run byte-identical at any shard count.
 package sim
 
 import (
@@ -33,46 +33,29 @@ type post struct {
 // barrier the mailboxes are merged in fixed (destination, source, FIFO)
 // order onto the destination engines, so sequence numbers — and therefore
 // same-instant tie-breaks — are assigned identically however many engines
-// exist and however the goroutines interleave.
+// exist.
 type ShardedEngine struct {
 	engines   []*Engine
 	podEng    []int // pod -> engine index
 	lookahead Time
-	// serial forces windows to execute shard-by-shard on the calling
-	// goroutine (lockstep tests compare this against the parallel path).
-	serial bool
-	// mail[src*pods+dst] is the (src → dst) mailbox. Each cell is
-	// appended to only by src's goroutine and drained only at barriers,
-	// so no cell is ever written concurrently.
+	// mail[src*pods+dst] is the (src → dst) mailbox, appended to by
+	// src's events and drained only at barriers.
 	mail      [][]post
 	windowEnd Time
 	inWindow  bool
 	windows   uint64
 	// barrierHook, when set, runs after every barrier merge; a non-nil
 	// error aborts the run (the invariants layer samples sweeps here,
-	// where no shard goroutine is in flight).
+	// where no shard is mid-window).
 	barrierHook func() error
 
 	metrics telemetry.ShardMetrics
 	busyNs  []int64
-	winBusy []int64
-	stallNs int64
-	// critNs sums each window's slowest shard: the run's parallel
-	// critical path, i.e. the wall time a machine with one core per
-	// engine would need inside windows. Comparing the serial layout's
-	// critNs against a sharded layout's measures achievable speedup
-	// even on hosts without that many cores.
+	// critNs sums each window's slowest shard: the run's critical path,
+	// i.e. the wall time windows would need if every engine ran on its
+	// own core. Comparing the serial layout's critNs against a sharded
+	// layout's measures the speedup the partition could achieve.
 	critNs int64
-
-	active  []int
-	runErrs []error
-
-	// Persistent window workers: one goroutine per engine, parked on its
-	// work channel between windows. Spawning goroutines per window costs
-	// more than a typical window's work, so RunWindows starts these once
-	// and stops them on exit.
-	work  []chan Time
-	wdone chan int
 }
 
 // NewSharded builds a scheduler of `pods` logical shards multiplexed onto
@@ -97,9 +80,6 @@ func NewSharded(pods, engines int, lookahead Time) (*ShardedEngine, error) {
 		lookahead: lookahead,
 		mail:      make([][]post, pods*pods),
 		busyNs:    make([]int64, engines),
-		winBusy:   make([]int64, engines),
-		active:    make([]int, 0, engines),
-		runErrs:   make([]error, engines),
 	}
 	for i := range s.engines {
 		s.engines[i] = New()
@@ -138,10 +118,10 @@ func (s *ShardedEngine) ProcessedTotal() uint64 {
 }
 
 // CriticalPathNs returns the summed per-window maximum shard busy time:
-// the wall time this run would need inside windows on a machine with one
-// core per engine. Dividing the serial layout's value by a sharded
-// layout's gives the speedup the shard partition can achieve, measured
-// from real event execution times, independent of host core count.
+// the wall time this run would need inside windows if every engine ran
+// on its own core. Dividing the serial layout's value by a sharded
+// layout's gives the speedup the shard partition could achieve, measured
+// from real event execution times.
 func (s *ShardedEngine) CriticalPathNs() int64 { return s.critNs }
 
 // Now returns the scheduler clock: the furthest any engine has advanced.
@@ -154,11 +134,6 @@ func (s *ShardedEngine) Now() Time {
 	}
 	return max
 }
-
-// SetSerial forces windows to run shard-by-shard on the calling
-// goroutine. Output is byte-identical either way; lockstep tests flip
-// this to prove it.
-func (s *ShardedEngine) SetSerial(b bool) { s.serial = b }
 
 // SetBarrierHook installs fn to run after every barrier merge.
 func (s *ShardedEngine) SetBarrierHook(fn func() error) { s.barrierHook = fn }
@@ -202,57 +177,29 @@ func (s *ShardedEngine) nextEventAt() (Time, bool) {
 	return min, found
 }
 
-// window runs every engine over [·, bound) — in parallel unless serial
-// mode is on — then merges the mailboxes at the barrier.
+// window runs every engine with work before bound over [·, bound), one
+// after another, then merges the mailboxes at the barrier.
 func (s *ShardedEngine) window(bound Time) error {
 	s.windowEnd = bound
-	s.active = s.active[:0]
-	for i, eng := range s.engines {
-		if at, ok := eng.NextEventAt(); ok && at < bound {
-			s.active = append(s.active, i)
-		}
-	}
 	s.inWindow = true
-	wallStart := time.Now()
-	if s.serial || len(s.active) <= 1 || s.work == nil {
-		var winMax int64
-		for _, i := range s.active {
-			start := time.Now()
-			_, err := s.engines[i].RunBefore(bound)
-			took := time.Since(start).Nanoseconds()
-			s.busyNs[i] += took
-			if took > winMax {
-				winMax = took
-			}
-			if err != nil {
-				s.inWindow = false
-				return fmt.Errorf("sim: shard %d: %w", i, err)
-			}
+	var winMax int64
+	for i, eng := range s.engines {
+		if at, ok := eng.NextEventAt(); !ok || at >= bound {
+			continue
 		}
-		s.critNs += winMax
-	} else {
-		for _, i := range s.active {
-			s.work[i] <- bound
+		start := time.Now()
+		_, err := eng.RunBefore(bound)
+		took := time.Since(start).Nanoseconds()
+		s.busyNs[i] += took
+		if took > winMax {
+			winMax = took
 		}
-		for range s.active {
-			<-s.wdone
+		if err != nil {
+			s.inWindow = false
+			return fmt.Errorf("sim: shard %d: %w", i, err)
 		}
-		wallNs := time.Since(wallStart).Nanoseconds()
-		var winMax int64
-		for _, i := range s.active {
-			s.busyNs[i] += s.winBusy[i]
-			s.stallNs += wallNs - s.winBusy[i] // barrier wait: window wall minus this shard's work
-			if s.winBusy[i] > winMax {
-				winMax = s.winBusy[i]
-			}
-			if err := s.runErrs[i]; err != nil {
-				s.runErrs[i] = nil
-				s.inWindow = false
-				return fmt.Errorf("sim: shard %d: %w", i, err)
-			}
-		}
-		s.critNs += winMax
 	}
+	s.critNs += winMax
 	s.inWindow = false
 	s.windows++
 	s.metrics.Windows.Inc()
@@ -292,10 +239,6 @@ func (s *ShardedEngine) window(bound Time) error {
 // cluster loop's "queue drained with tasks pending". It returns the
 // scheduler clock at exit.
 func (s *ShardedEngine) RunWindows(done func() bool) (Time, error) {
-	if !s.serial && len(s.engines) > 1 {
-		s.startWorkers()
-		defer s.stopWorkers()
-	}
 	for {
 		if done != nil && done() {
 			break
@@ -319,51 +262,10 @@ func (s *ShardedEngine) RunWindows(done func() bool) (Time, error) {
 // fault recoveries) with no completion predicate.
 func (s *ShardedEngine) Drain() (Time, error) { return s.RunWindows(nil) }
 
-// startWorkers parks one goroutine per engine on its work channel. Each
-// worker runs only its own engine over the window bound it receives, so
-// the shard-local invariant (no engine touched by two goroutines) holds
-// by construction; the barrier in window() is the completion drain.
-func (s *ShardedEngine) startWorkers() {
-	if s.work != nil {
-		return
-	}
-	s.work = make([]chan Time, len(s.engines))
-	s.wdone = make(chan int, len(s.engines))
-	for i := range s.work {
-		s.work[i] = make(chan Time)
-		go s.runWorker(i, s.work[i])
-	}
-}
-
-// stopWorkers releases the parked worker goroutines. RunWindows defers
-// this, so a ShardedEngine holds no goroutines between runs.
-func (s *ShardedEngine) stopWorkers() {
-	for _, ch := range s.work {
-		close(ch)
-	}
-	s.work = nil
-	s.wdone = nil
-}
-
-// runWorker is the persistent window worker for engine i: run the engine
-// up to each bound received, record busy time and error, announce done.
-// The channel is passed in rather than read from s.work so a worker that
-// is slow to start never observes stopWorkers clearing the slice.
-func (s *ShardedEngine) runWorker(i int, work <-chan Time) {
-	for bound := range work {
-		start := time.Now()
-		_, err := s.engines[i].RunBefore(bound)
-		s.winBusy[i] = time.Since(start).Nanoseconds()
-		s.runErrs[i] = err
-		s.wdone <- i
-	}
-}
-
 // flushGauges publishes the volatile per-shard utilisation gauges. These
 // depend on wall clock and shard layout, so they are Prometheus-only —
 // the deterministic snapshot stays byte-identical at any shard count.
 func (s *ShardedEngine) flushGauges() {
-	s.metrics.StallMs.Set(float64(s.stallNs) / 1e6)
 	s.metrics.CritPathMs.Set(float64(s.critNs) / 1e6)
 	for i, eng := range s.engines {
 		if i < len(s.metrics.ShardEvents) {

@@ -2,14 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
 
 // mix64 is splitmix64: the synthetic workload derives every choice from
 // (seed, event id) so the schedule is a pure function of the pod — never
-// of goroutine interleaving or engine layout.
+// of the engine layout.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -20,14 +19,13 @@ func mix64(x uint64) uint64 {
 // runSynthetic drives a randomized cross-pod event workload on the given
 // layout and returns the concatenated per-pod logs plus the window and
 // processed counters — everything that must be byte-identical across
-// layouts and GOMAXPROCS.
-func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, lookahead Time, depth int) string {
+// layouts.
+func runSynthetic(t testing.TB, pods, engines int, seed uint64, lookahead Time, depth int) string {
 	t.Helper()
 	s, err := NewSharded(pods, engines, lookahead)
 	if err != nil {
 		t.Fatalf("NewSharded(%d, %d): %v", pods, engines, err)
 	}
-	s.SetSerial(serial)
 
 	logs := make([][]string, pods)
 	var postErr error
@@ -71,10 +69,10 @@ func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, loo
 
 	end, err := s.Drain()
 	if err != nil {
-		t.Fatalf("Drain(pods=%d engines=%d serial=%v): %v", pods, engines, serial, err)
+		t.Fatalf("Drain(pods=%d engines=%d): %v", pods, engines, err)
 	}
 	if postErr != nil {
-		t.Fatalf("Post(pods=%d engines=%d serial=%v): %v", pods, engines, serial, postErr)
+		t.Fatalf("Post(pods=%d engines=%d): %v", pods, engines, postErr)
 	}
 
 	var b strings.Builder
@@ -86,25 +84,15 @@ func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, loo
 }
 
 // TestShardedLockstep is the core determinism proof at the sim layer:
-// the serial baseline (one engine), the sharded layouts run serially,
-// and the sharded layouts run on goroutines all produce byte-identical
-// event logs at several GOMAXPROCS settings.
+// every sharded layout produces an event log byte-identical to the
+// one-engine baseline.
 func TestShardedLockstep(t *testing.T) {
 	const pods, lookahead, depth = 8, 64, 5
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
-		ref := runSynthetic(t, pods, 1, false, seed, lookahead, depth)
+		ref := runSynthetic(t, pods, 1, seed, lookahead, depth)
 		for _, engines := range []int{2, 4, 8} {
-			if got := runSynthetic(t, pods, engines, true, seed, lookahead, depth); got != ref {
-				t.Errorf("seed %d: serial-mode %d-engine log diverged from baseline\nref:\n%s\ngot:\n%s", seed, engines, ref, got)
-			}
-			for _, procs := range []int{1, 2, 8} {
-				prev := runtime.GOMAXPROCS(procs)
-				got := runSynthetic(t, pods, engines, false, seed, lookahead, depth)
-				runtime.GOMAXPROCS(prev)
-				if got != ref {
-					t.Errorf("seed %d: parallel %d-engine log at GOMAXPROCS=%d diverged from baseline\nref:\n%s\ngot:\n%s",
-						seed, engines, procs, ref, got)
-				}
+			if got := runSynthetic(t, pods, engines, seed, lookahead, depth); got != ref {
+				t.Errorf("seed %d: %d-engine log diverged from baseline\nref:\n%s\ngot:\n%s", seed, engines, ref, got)
 			}
 		}
 	}
@@ -238,9 +226,33 @@ func TestShardedBarrierHook(t *testing.T) {
 	}
 }
 
+// TestShardedPanicReachesCaller: a panicking event callback on a
+// multi-engine layout unwinds through Drain on the caller's goroutine,
+// exactly as it does on a single engine, so the caller can recover it.
+func TestShardedPanicReachesCaller(t *testing.T) {
+	s, err := NewSharded(2, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PodEngine(0).At(1, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PodEngine(1).At(1, func() { panic("callback failed") }); err != nil {
+		t.Fatal(err)
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = s.Drain()
+	}()
+	if got != "callback failed" {
+		t.Fatalf("recovered %v, want the callback's panic", got)
+	}
+}
+
 // FuzzShardWindowSync fuzzes pod counts, engine counts, lookahead sizes
-// and boundary-straddling schedules, asserting the sharded parallel run
-// reproduces the one-engine baseline byte for byte.
+// and boundary-straddling schedules, asserting the sharded run reproduces
+// the one-engine baseline byte for byte.
 func FuzzShardWindowSync(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(2), uint16(10), uint8(3))
 	f.Add(uint64(42), uint8(8), uint8(4), uint16(64), uint8(4))
@@ -251,13 +263,9 @@ func FuzzShardWindowSync(f *testing.F) {
 		engines := 1 + int(enginesRaw)%pods
 		lookahead := Time(1 + lookaheadRaw%1000)
 		depth := int(depthRaw % 5)
-		ref := runSynthetic(t, pods, 1, false, seed, lookahead, depth)
-		if got := runSynthetic(t, pods, engines, false, seed, lookahead, depth); got != ref {
-			t.Fatalf("pods=%d engines=%d lookahead=%v depth=%d: parallel run diverged\nref:\n%s\ngot:\n%s",
-				pods, engines, lookahead, depth, ref, got)
-		}
-		if got := runSynthetic(t, pods, engines, true, seed, lookahead, depth); got != ref {
-			t.Fatalf("pods=%d engines=%d lookahead=%v depth=%d: serial-mode run diverged\nref:\n%s\ngot:\n%s",
+		ref := runSynthetic(t, pods, 1, seed, lookahead, depth)
+		if got := runSynthetic(t, pods, engines, seed, lookahead, depth); got != ref {
+			t.Fatalf("pods=%d engines=%d lookahead=%v depth=%d: sharded run diverged\nref:\n%s\ngot:\n%s",
 				pods, engines, lookahead, depth, ref, got)
 		}
 	})

@@ -16,8 +16,8 @@ type SimMetrics struct {
 
 // ShardMetrics instruments the sharded window scheduler multi-pod
 // captures run on. Windows and BoundaryEvents are deterministic — by
-// construction identical at any shard count and any GOMAXPROCS — so they
-// live in the deterministic snapshot. StallMs and the per-shard
+// construction identical at any shard count — so they live in the
+// deterministic snapshot. CritPathMs and the per-shard
 // ShardEvents/ShardBusyMs gauges depend on wall clock and shard layout
 // and are volatile: Prometheus-only, never in the JSON snapshot, so a
 // sharded capture's exported telemetry stays byte-identical to the
@@ -25,8 +25,8 @@ type SimMetrics struct {
 type ShardMetrics struct {
 	Windows        *Counter // conservative windows executed
 	BoundaryEvents *Counter // cross-shard events merged at barriers
-	StallMs        *Gauge   // volatile: cumulative barrier wait across shards
-	CritPathMs     *Gauge   // volatile: per-window max shard busy time, summed (parallel critical path)
+	StallMs        *Gauge   // volatile: always 0, windows run sequentially so no shard waits at a barrier
+	CritPathMs     *Gauge   // volatile: per-window max shard busy time, summed (critical path)
 	ShardEvents    []*Gauge // volatile, labeled shard=i: events processed per shard
 	ShardBusyMs    []*Gauge // volatile, labeled shard=i: wall time inside windows per shard
 }
@@ -191,8 +191,8 @@ func New() *Telemetry {
 	t.Shard = ShardMetrics{
 		Windows:        r.Counter("keddah_sim_shard_windows_total", "Conservative windows executed by the sharded scheduler."),
 		BoundaryEvents: r.Counter("keddah_sim_shard_boundary_events_total", "Cross-shard events merged at window barriers."),
-		StallMs:        r.VolatileGauge("keddah_sim_shard_stall_ms", "Cumulative barrier wait across shards (ms)."),
-		CritPathMs:     r.VolatileGauge("keddah_sim_shard_crit_ms", "Parallel critical path: per-window max shard busy time, summed (ms)."),
+		StallMs:        r.VolatileGauge("keddah_sim_shard_stall_ms", "Cumulative barrier wait across shards (ms); always 0, since windows run their shards sequentially and no shard waits at a barrier."),
+		CritPathMs:     r.VolatileGauge("keddah_sim_shard_crit_ms", "Critical path: per-window max shard busy time, summed (ms); the wall time windows would take with one core per shard."),
 	}
 
 	var flowBounds []float64

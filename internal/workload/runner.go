@@ -23,6 +23,15 @@ type RunSpec struct {
 	InputPath string
 }
 
+// DatasetPath returns the HDFS path the run reads when it runs profile:
+// InputPath when set, else one derived from the profile and size.
+func (s RunSpec) DatasetPath(profile string) string {
+	if s.InputPath != "" {
+		return s.InputPath
+	}
+	return fmt.Sprintf("/data/%s-%d", profile, s.InputBytes)
+}
+
 // RunResult aggregates the per-round results of one workload run.
 type RunResult struct {
 	Spec   RunSpec
@@ -49,9 +58,7 @@ func Run(c *hadoop.Cluster, spec RunSpec, seq int, done func(RunResult)) error {
 	if spec.JobName == "" {
 		spec.JobName = fmt.Sprintf("%s%d", prof.Name, seq)
 	}
-	if spec.InputPath == "" {
-		spec.InputPath = fmt.Sprintf("/data/%s-%d", prof.Name, spec.InputBytes)
-	}
+	spec.InputPath = spec.DatasetPath(prof.Name)
 	reducers := spec.Reducers
 	if prof.MapOnly {
 		reducers = 0
